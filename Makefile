@@ -60,9 +60,10 @@ bench:
 # and the harness experiment still builds its graphs and trackers; no
 # baseline file is written, timings at this length are not meaningful.
 # The harness run is full-length, so the 1.25x capability-overhead guard
-# is enforced here too.
+# is enforced here too. BenchmarkWCC keeps the loop operators'
+# batch-at-a-time path (Join, AggregateMonotonic) running over two processes.
 bench-smoke:
-	$(GO) test -run='^$$' -bench=. -benchtime=1x ./internal/progress/ ./internal/runtime/
+	$(GO) test -run='^$$' -bench=. -benchtime=1x ./internal/progress/ ./internal/runtime/ ./internal/graphalgo/
 	$(GO) run ./cmd/naiad-bench -exp=progress
 
 # Record data plane: the typed-batch vs boxed per-record comparison plus

@@ -30,12 +30,22 @@
 //
 // The same discipline covers the frame byte pool (GetBytes/PutBytes):
 // PutBytes at most once per buffer, never use a buffer after PutBytes.
+//
+// # Pooling rule
+//
+// Pools keep storage of at most 1 MiB (1<<maxBytesClass bytes) per buffer.
+// PutBytes drops larger frame buffers, and a released batch whose column's
+// backing array exceeds 1 MiB keeps its batch shell in the pool but drops
+// the array to the garbage collector. A pool therefore never pins the
+// memory of one unusually large batch, such as a join's fan-out burst, for
+// the rest of the process.
 package batchbuf
 
 import (
 	"reflect"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 )
 
 // Column is the storage of a batch: a uniform sequence of records, either
@@ -57,7 +67,8 @@ type Column interface {
 	// share a type, boxing otherwise. It reports false only when the boxed
 	// value cannot be stored (typed column, foreign type).
 	AppendIndex(src Column, i int) bool
-	// reset empties the column for reuse, keeping capacity.
+	// reset empties the column for reuse, keeping capacity up to the
+	// pooling rule's 1 MiB and dropping a larger backing array.
 	reset()
 }
 
@@ -198,7 +209,14 @@ func (c *Col[T]) appendAll(src Column) bool {
 	return true
 }
 
-func (c *Col[T]) reset() { clear(c.Data); c.Data = c.Data[:0] }
+func (c *Col[T]) reset() {
+	if uintptr(cap(c.Data))*unsafe.Sizeof(*new(T)) > maxPooledBytes {
+		c.Data = nil
+		return
+	}
+	clear(c.Data)
+	c.Data = c.Data[:0]
+}
 
 func (c *Col[T]) poolFor() pool { return PoolFor[T]() }
 
@@ -225,7 +243,14 @@ func (c *anyCol) appendAll(src Column) bool {
 	return false
 }
 
-func (c *anyCol) reset() { clear(c.data); c.data = c.data[:0] }
+func (c *anyCol) reset() {
+	if uintptr(cap(c.data))*unsafe.Sizeof(any(nil)) > maxPooledBytes {
+		c.data = nil
+		return
+	}
+	clear(c.data)
+	c.data = c.data[:0]
+}
 
 // Pool is a typed batch arena. The zero value is not usable; construct with
 // NewPool or use the process-wide type-keyed pools via PoolFor.
@@ -337,6 +362,10 @@ func Of[T any](records []T) *Batch {
 const (
 	minBytesClass = 8  // 1<<8 = 256 B
 	maxBytesClass = 20 // 1<<20 = 1 MiB
+
+	// maxPooledBytes is the pooling rule's bound on the storage a pool
+	// keeps per buffer: frame buffers and column backing arrays alike.
+	maxPooledBytes = 1 << maxBytesClass
 )
 
 var bytePools [maxBytesClass - minBytesClass + 1]sync.Pool
@@ -369,7 +398,7 @@ func GetBytes(n int) []byte {
 // or any view of it — after PutBytes.
 func PutBytes(b []byte) {
 	c := cap(b)
-	if c < 1<<minBytesClass || c > 1<<maxBytesClass || c&(c-1) != 0 {
+	if c < 1<<minBytesClass || c > maxPooledBytes || c&(c-1) != 0 {
 		return
 	}
 	cls := bytesClass(c)

@@ -161,3 +161,44 @@ func TestColReleaseClearsData(t *testing.T) {
 		t.Fatalf("release did not clear pointerful records")
 	}
 }
+
+// TestPoolDropsColumnsOverOneMiB checks the pooling rule: a released column
+// whose backing array exceeds 1 MiB leaves it to the garbage collector, so
+// the next batch from the pool does not inherit it.
+func TestPoolDropsColumnsOverOneMiB(t *testing.T) {
+	p := NewPool[int64]()
+	b, col := p.Get(0)
+	col.Data = make([]int64, 0, maxPooledBytes/8+1)
+	b.Release()
+	if _, col2 := p.Get(0); cap(col2.Data) > maxPooledBytes/8 {
+		t.Fatalf("a %d-byte column came back from the pool", 8*cap(col2.Data))
+	}
+	bx := GetBoxed(0)
+	bx.col.(*anyCol).data = make([]any, 0, maxPooledBytes/16+1)
+	bx.Release()
+	for i := 0; i < 100; i++ {
+		b := GetBoxed(0)
+		if c := cap(b.col.(*anyCol).data); c > maxPooledBytes/16 {
+			t.Fatalf("a %d-byte boxed column came back from the pool", 16*c)
+		}
+		defer b.Release()
+	}
+}
+
+// TestPoolReusesColumnsUpToOneMiB checks the other side of the rule: a
+// column of at most 1 MiB goes back to its pool for reuse. sync.Pool may
+// drop any item (the race detector drops a quarter of them on purpose), so
+// the test asks for reuse at least once in several rounds.
+func TestPoolReusesColumnsUpToOneMiB(t *testing.T) {
+	p := NewPool[int64]()
+	const n = maxPooledBytes / 8 // exactly 1 MiB
+	for round := 0; round < 20; round++ {
+		b, col := p.Get(n)
+		col.Data = append(col.Data, 1)
+		b.Release()
+		if _, col2 := p.Get(0); cap(col2.Data) >= n {
+			return
+		}
+	}
+	t.Fatalf("a 1 MiB column was never reused")
+}

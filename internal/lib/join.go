@@ -1,6 +1,7 @@
 package lib
 
 import (
+	"naiad/internal/batchbuf"
 	"naiad/internal/codec"
 	"naiad/internal/graph"
 	"naiad/internal/runtime"
@@ -21,20 +22,20 @@ func Join[K comparable, A, B, R any](a *Stream[Pair[K, A]], b *Stream[Pair[K, B]
 	st := c.AddStage("Join", graph.RoleNormal, a.depth, func(ctx *runtime.Context) runtime.Vertex {
 		left := make(map[K][]A)
 		right := make(map[K][]B)
-		return &joinVertex[K, A, B]{
-			onLeft: func(rec Pair[K, A], t ts.Timestamp) {
-				left[rec.Key] = append(left[rec.Key], rec.Val)
-				for _, bv := range right[rec.Key] {
-					ctx.SendBy(0, f(rec.Key, rec.Val, bv), t)
-				}
-			},
-			onRight: func(rec Pair[K, B], t ts.Timestamp) {
-				right[rec.Key] = append(right[rec.Key], rec.Val)
-				for _, av := range left[rec.Key] {
-					ctx.SendBy(0, f(rec.Key, av, rec.Val), t)
-				}
-			},
+		v := &joinVertex[K, A, B, R]{out: newEmitter[R](ctx)}
+		v.onLeft = func(rec Pair[K, A], t ts.Timestamp) {
+			left[rec.Key] = append(left[rec.Key], rec.Val)
+			for _, bv := range right[rec.Key] {
+				v.out.emit(f(rec.Key, rec.Val, bv), t)
+			}
 		}
+		v.onRight = func(rec Pair[K, B], t ts.Timestamp) {
+			right[rec.Key] = append(right[rec.Key], rec.Val)
+			for _, av := range left[rec.Key] {
+				v.out.emit(f(rec.Key, av, rec.Val), t)
+			}
+		}
+		return v
 	})
 	connect(c, a.stage, a.port, st, HashPair[K, A], a.cod) // input 0
 	connect(c, b.stage, b.port, st, HashPair[K, B], b.cod) // input 1
@@ -65,39 +66,42 @@ func JoinByTime[K comparable, A, B, R any](a *Stream[Pair[K, A]], b *Stream[Pair
 			}
 			return bb
 		}
-		return &joinVertex[K, A, B]{
-			onLeft:  func(rec Pair[K, A], t ts.Timestamp) { bb := get(t); bb.left = append(bb.left, rec) },
-			onRight: func(rec Pair[K, B], t ts.Timestamp) { bb := get(t); bb.right = append(bb.right, rec) },
-			onNotify: func(t ts.Timestamp, send func(any, ts.Timestamp)) {
-				bb := buf[t]
-				delete(buf, t)
-				left := make(map[K][]A)
-				for _, p := range bb.left {
-					left[p.Key] = append(left[p.Key], p.Val)
+		v := &joinVertex[K, A, B, R]{out: newEmitter[R](ctx)}
+		v.onLeft = func(rec Pair[K, A], t ts.Timestamp) { bb := get(t); bb.left = append(bb.left, rec) }
+		v.onRight = func(rec Pair[K, B], t ts.Timestamp) { bb := get(t); bb.right = append(bb.right, rec) }
+		v.onNotify = func(t ts.Timestamp) {
+			bb := buf[t]
+			delete(buf, t)
+			left := make(map[K][]A)
+			for _, p := range bb.left {
+				left[p.Key] = append(left[p.Key], p.Val)
+			}
+			for _, p := range bb.right {
+				for _, av := range left[p.Key] {
+					v.out.emit(f(p.Key, av, p.Val), t)
 				}
-				for _, p := range bb.right {
-					for _, av := range left[p.Key] {
-						send(f(p.Key, av, p.Val), t)
-					}
-				}
-			},
-			send: func(m any, t ts.Timestamp) { ctx.SendBy(0, m, t) },
+			}
 		}
+		return v
 	})
 	connect(c, a.stage, a.port, st, HashPair[K, A], a.cod)
 	connect(c, b.stage, b.port, st, HashPair[K, B], b.cod)
 	return &Stream[R]{scope: a.scope, stage: st, port: 0, cod: orGob[R](cod), depth: a.depth}
 }
 
-// joinVertex dispatches a binary operator's two typed inputs.
-type joinVertex[K comparable, A, B any] struct {
+// joinVertex is the keyed binary vertex behind Join and JoinByTime. The
+// operators supply per-record handlers for each input, and optionally a
+// notification handler, which report their outputs through the emit hook
+// out. A typed input batch and a notification each run as one collecting
+// callback: their outputs leave as a single batch.
+type joinVertex[K comparable, A, B, R any] struct {
 	onLeft   func(Pair[K, A], ts.Timestamp)
 	onRight  func(Pair[K, B], ts.Timestamp)
-	onNotify func(ts.Timestamp, func(any, ts.Timestamp))
-	send     func(any, ts.Timestamp)
+	onNotify func(ts.Timestamp)
+	out      *emitter[R]
 }
 
-func (v *joinVertex[K, A, B]) OnRecv(input int, msg runtime.Message, t ts.Timestamp) {
+func (v *joinVertex[K, A, B, R]) OnRecv(input int, msg runtime.Message, t ts.Timestamp) {
 	if input == 0 {
 		v.onLeft(msg.(Pair[K, A]), t)
 	} else {
@@ -105,21 +109,26 @@ func (v *joinVertex[K, A, B]) OnRecv(input int, msg runtime.Message, t ts.Timest
 	}
 }
 
-// OnRecvBatch unpacks a typed batch with one slice assertion per side;
-// boxed or foreign columns fall back to per-record dispatch.
-func (v *joinVertex[K, A, B]) OnRecvBatch(input int, b *runtime.Batch, t ts.Timestamp) {
+// OnRecvBatch unpacks a typed batch with one slice assertion per side and
+// sends the callback's matches as one batch; boxed or foreign columns fall
+// back to per-record dispatch and per-record sends.
+func (v *joinVertex[K, A, B, R]) OnRecvBatch(input int, b *runtime.Batch, t ts.Timestamp) {
 	if input == 0 {
 		if data, ok := b.Col().Slice().([]Pair[K, A]); ok {
+			v.out.begin()
 			for _, rec := range data {
 				v.onLeft(rec, t)
 			}
+			v.out.end(t)
 			return
 		}
 	} else {
 		if data, ok := b.Col().Slice().([]Pair[K, B]); ok {
+			v.out.begin()
 			for _, rec := range data {
 				v.onRight(rec, t)
 			}
+			v.out.end(t)
 			return
 		}
 	}
@@ -128,27 +137,82 @@ func (v *joinVertex[K, A, B]) OnRecvBatch(input int, b *runtime.Batch, t ts.Time
 	}
 }
 
-func (v *joinVertex[K, A, B]) OnNotify(t ts.Timestamp) {
+func (v *joinVertex[K, A, B, R]) OnNotify(t ts.Timestamp) {
 	if v.onNotify != nil {
-		v.onNotify(t, v.send)
+		v.out.begin()
+		v.onNotify(t)
+		v.out.end(t)
+	}
+}
+
+// emitter is the emit hook of the batch-at-a-time operators. Between begin
+// and end it collects outputs into one pooled typed batch, which end sends
+// with a single SendBatchBy at the callback's time t. The send happens
+// inside the callback, so the runtime still posts the batch's +count
+// before it retires the input's −count. A callback that collects nothing
+// sends nothing. Outside begin/end — a boxed input — every output goes out
+// through its own SendBy.
+type emitter[R any] struct {
+	ctx        *runtime.Context
+	pool       *batchbuf.Pool[R]
+	collecting bool
+	b          *runtime.Batch
+	col        *batchbuf.Col[R]
+}
+
+func newEmitter[R any](ctx *runtime.Context) *emitter[R] {
+	return &emitter[R]{ctx: ctx, pool: batchbuf.PoolFor[R]()}
+}
+
+func (e *emitter[R]) begin() { e.collecting = true }
+
+func (e *emitter[R]) emit(r R, t ts.Timestamp) {
+	if !e.collecting {
+		e.ctx.SendBy(0, r, t)
+		return
+	}
+	if e.b == nil {
+		e.b, e.col = e.pool.Get(0)
+	}
+	e.col.Data = append(e.col.Data, r)
+}
+
+// end sends the collected batch. The emitter is reset before the send: a
+// synchronous delivery may re-enter the vertex (a loop closed through the
+// local fast path), and that callback begins a collection of its own.
+func (e *emitter[R]) end(t ts.Timestamp) {
+	b := e.b
+	e.collecting, e.b, e.col = false, nil, nil
+	if b != nil {
+		e.ctx.SendBatchBy(0, b, t)
 	}
 }
 
 // AggregateMonotonic keeps the best value per key under `better`, emitting
 // whenever a key's value improves — the BloomL-style monotonic aggregation
 // of §4.2. It never coordinates: inside a loop it may emit several times
-// before settling, in exchange for fast uncoordinated iteration (§2.4).
+// before settling, in exchange for fast uncoordinated iteration (§2.4). A
+// typed input batch's improvements leave as one batch.
 func AggregateMonotonic[K comparable, V any](s *Stream[Pair[K, V]],
 	better func(candidate, incumbent V) bool) *Stream[Pair[K, V]] {
 	c := s.scope.C
 	st := c.AddStage("AggMonotonic", graph.RoleNormal, s.depth, func(ctx *runtime.Context) runtime.Vertex {
 		best := make(map[K]V)
-		return &vertexOf[Pair[K, V]]{
-			recv: func(_ int, rec Pair[K, V], t ts.Timestamp) {
-				if cur, ok := best[rec.Key]; !ok || better(rec.Val, cur) {
-					best[rec.Key] = rec.Val
-					ctx.SendBy(0, rec, t)
+		out := newEmitter[Pair[K, V]](ctx)
+		recv := func(_ int, rec Pair[K, V], t ts.Timestamp) {
+			if cur, ok := best[rec.Key]; !ok || better(rec.Val, cur) {
+				best[rec.Key] = rec.Val
+				out.emit(rec, t)
+			}
+		}
+		return &batchVertexOf[Pair[K, V]]{
+			vertexOf: vertexOf[Pair[K, V]]{recv: recv},
+			recvBatch: func(input int, data []Pair[K, V], _ *runtime.Batch, t ts.Timestamp) {
+				out.begin()
+				for _, rec := range data {
+					recv(input, rec, t)
 				}
+				out.end(t)
 			},
 		}
 	})

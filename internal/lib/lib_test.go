@@ -2,6 +2,7 @@ package lib
 
 import (
 	"fmt"
+	"hash/fnv"
 	"sort"
 	"strings"
 	"sync"
@@ -401,6 +402,32 @@ func TestHashPairUsesKeyOnly(t *testing.T) {
 	if HashPair(KV(int64(1), "x")) != HashPair(KV(int64(1), "y")) {
 		t.Fatal("HashPair must ignore the value")
 	}
+}
+
+// TestHashFastPathsNoAlloc pins the fast paths to their values (exchange
+// placement depends on them) and requires them not to box the key: an
+// int64 of 256 or more would allocate through an interface conversion.
+func TestHashFastPathsNoAlloc(t *testing.T) {
+	const big = int64(1) << 40
+	if Hash(big) != mix64(uint64(big)) {
+		t.Fatal("Hash[int64] changed value")
+	}
+	h := fnv.New64a()
+	h.Write([]byte("naiad"))
+	if Hash("naiad") != mix64(h.Sum64()) {
+		t.Fatal("Hash[string] is not FNV-1a")
+	}
+	var sink uint64
+	for name, f := range map[string]func(){
+		"Hash[int64]":  func() { sink += Hash(big) },
+		"HashPair":     func() { sink += HashPair(KV(big, big+1)) },
+		"Hash[string]": func() { sink += Hash("naiad") },
+	} {
+		if allocs := testing.AllocsPerRun(100, f); allocs != 0 {
+			t.Errorf("%s allocates %.1f/op, want 0", name, allocs)
+		}
+	}
+	_ = sink
 }
 
 func TestBarrierEmitsOncePerEpoch(t *testing.T) {

@@ -156,8 +156,9 @@ type worker struct {
 	// produces (the old per-frame codec.NewEncoder with its undersized
 	// capacity guess was a steady allocation-and-grow tax on the hot path).
 	// scratchBox is the boxing spill for codecs without a typed column path;
-	// hashes is routeBatch's hash buffer (fully consumed before any delivery
-	// can recurse, so one buffer suffices). scatter is a STACK of
+	// hashes and counts are routeBatch's hash buffer and per-destination
+	// record counts (fully consumed before any delivery can recurse, so one
+	// buffer each suffices). scatter is a STACK of
 	// per-destination builder tables indexed by scatterDepth: routeBatch's
 	// dispatch loop delivers synchronously and can re-enter routeBatch
 	// (feedback cycles, reentrant vertices), so each nesting level needs its
@@ -167,6 +168,7 @@ type worker struct {
 	scatter      [][]*batchbuf.Batch
 	scatterDepth int
 	hashes       []uint64
+	counts       []int
 
 	// Barrier-snapshot state (nil/zero unless a cut handler is installed).
 	// chanSent counts batches sent per (connector, dst vertex); chanRecv
@@ -877,15 +879,10 @@ func (w *worker) routeBatch(vsSrc *vertexState, ci *connInfo, b *batchbuf.Batch,
 		w.scatter[depth] = make([]*batchbuf.Batch, peers)
 	}
 	subs := w.scatter[depth][:peers]
-	for i := 0; i < n; i++ {
-		dv := int(hashes[i] % uint64(peers))
-		sub := subs[dv]
-		if sub == nil {
-			sub = b.NewLike(n)
-			subs[dv] = sub
-		}
-		sub.AppendIndex(b, i)
+	if cap(w.counts) < peers {
+		w.counts = make([]int, peers)
 	}
+	scatterBatch(b, hashes, subs, w.counts[:peers])
 	b.Release()
 	// Dispatch under a bumped depth: a synchronous delivery below may
 	// re-enter routeBatch, which must not reuse this level's table.
@@ -897,6 +894,40 @@ func (w *worker) routeBatch(vsSrc *vertexState, ci *connInfo, b *batchbuf.Batch,
 		}
 	}
 	w.scatterDepth--
+}
+
+// scatterBatch splits b across len(subs) destinations by hashes[i] modulo
+// the destination count, filling subs[dv] with destination dv's records in
+// their input order (nil where a destination receives none). It counts
+// each destination's records first, so every sub-batch is requested at
+// exactly its record count rather than at the whole input's. hashes is
+// overwritten with destination indexes; counts is scratch of len(subs).
+//
+// The counting pass has nothing to overlap a division with, so a
+// power-of-two destination count takes the modulo as a mask.
+func scatterBatch(b *batchbuf.Batch, hashes []uint64, subs []*batchbuf.Batch, counts []int) {
+	peers := uint64(len(subs))
+	if mask := peers - 1; peers&mask == 0 {
+		for i, h := range hashes {
+			hashes[i] = h & mask
+		}
+	} else {
+		for i, h := range hashes {
+			hashes[i] = h % peers
+		}
+	}
+	clear(counts)
+	for _, dv := range hashes {
+		counts[dv]++
+	}
+	for dv, k := range counts {
+		if k > 0 {
+			subs[dv] = b.NewLike(k)
+		}
+	}
+	for i, dv := range hashes {
+		subs[dv].AppendIndex(b, i)
+	}
 }
 
 // routeBatchTo delivers a batch to one destination vertex of a connector,
