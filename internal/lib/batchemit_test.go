@@ -137,9 +137,6 @@ func TestJoinTypedMatchesBoxed(t *testing.T) {
 	if typed.typed == 0 || typed.other != 0 {
 		t.Fatalf("typed Join output: %d []Pair deliveries, %d boxed; want only []Pair", typed.typed, typed.other)
 	}
-	if boxed.other == 0 {
-		t.Fatalf("boxed Join output never arrived boxed: the fallback path did not run")
-	}
 	// Every typed delivery is a whole callback's output, not one record.
 	if typed.typed >= len(want) {
 		t.Fatalf("typed Join made %d deliveries for %d records: not batched", typed.typed, len(want))
@@ -194,9 +191,6 @@ func TestAggregateMonotonicTypedMatchesBoxed(t *testing.T) {
 		}
 		if n := rec.deliveries[1]; n != 0 {
 			t.Fatalf("boxed=%v: an epoch without improvements made %d deliveries, want none", boxed, n)
-		}
-		if boxed && rec.other == 0 {
-			t.Fatalf("boxed AggregateMonotonic output never arrived boxed: the fallback path did not run")
 		}
 		if !boxed && (rec.typed == 0 || rec.other != 0) {
 			t.Fatalf("typed AggregateMonotonic output: %d []Pair deliveries, %d boxed; want only []Pair",

@@ -26,13 +26,13 @@ func Join[K comparable, A, B, R any](a *Stream[Pair[K, A]], b *Stream[Pair[K, B]
 		v.onLeft = func(rec Pair[K, A], t ts.Timestamp) {
 			left[rec.Key] = append(left[rec.Key], rec.Val)
 			for _, bv := range right[rec.Key] {
-				v.out.emit(f(rec.Key, rec.Val, bv), t)
+				v.out.emit(f(rec.Key, rec.Val, bv))
 			}
 		}
 		v.onRight = func(rec Pair[K, B], t ts.Timestamp) {
 			right[rec.Key] = append(right[rec.Key], rec.Val)
 			for _, av := range left[rec.Key] {
-				v.out.emit(f(rec.Key, av, rec.Val), t)
+				v.out.emit(f(rec.Key, av, rec.Val))
 			}
 		}
 		return v
@@ -78,7 +78,7 @@ func JoinByTime[K comparable, A, B, R any](a *Stream[Pair[K, A]], b *Stream[Pair
 			}
 			for _, p := range bb.right {
 				for _, av := range left[p.Key] {
-					v.out.emit(f(p.Key, av, p.Val), t)
+					v.out.emit(f(p.Key, av, p.Val))
 				}
 			}
 		}
@@ -92,8 +92,8 @@ func JoinByTime[K comparable, A, B, R any](a *Stream[Pair[K, A]], b *Stream[Pair
 // joinVertex is the keyed binary vertex behind Join and JoinByTime. The
 // operators supply per-record handlers for each input, and optionally a
 // notification handler, which report their outputs through the emit hook
-// out. A typed input batch and a notification each run as one collecting
-// callback: their outputs leave as a single batch.
+// out. Every callback — a record, a batch or a notification — ends by
+// sending its outputs as a single batch.
 type joinVertex[K comparable, A, B, R any] struct {
 	onLeft   func(Pair[K, A], ts.Timestamp)
 	onRight  func(Pair[K, B], ts.Timestamp)
@@ -102,6 +102,11 @@ type joinVertex[K comparable, A, B, R any] struct {
 }
 
 func (v *joinVertex[K, A, B, R]) OnRecv(input int, msg runtime.Message, t ts.Timestamp) {
+	v.recv(input, msg, t)
+	v.out.end(t)
+}
+
+func (v *joinVertex[K, A, B, R]) recv(input int, msg runtime.Message, t ts.Timestamp) {
 	if input == 0 {
 		v.onLeft(msg.(Pair[K, A]), t)
 	} else {
@@ -109,68 +114,54 @@ func (v *joinVertex[K, A, B, R]) OnRecv(input int, msg runtime.Message, t ts.Tim
 	}
 }
 
-// OnRecvBatch unpacks a typed batch with one slice assertion per side and
-// sends the callback's matches as one batch; boxed or foreign columns fall
-// back to per-record dispatch and per-record sends.
+// OnRecvBatch unpacks a typed batch with one slice assertion per side;
+// boxed or foreign columns fall back to per-record assertion. Either way
+// the batch's matches leave as one batch.
 func (v *joinVertex[K, A, B, R]) OnRecvBatch(input int, b *runtime.Batch, t ts.Timestamp) {
-	if input == 0 {
-		if data, ok := b.Col().Slice().([]Pair[K, A]); ok {
-			v.out.begin()
-			for _, rec := range data {
-				v.onLeft(rec, t)
-			}
-			v.out.end(t)
-			return
+	left, okL := b.Col().Slice().([]Pair[K, A])
+	right, okR := b.Col().Slice().([]Pair[K, B])
+	switch {
+	case input == 0 && okL:
+		for _, rec := range left {
+			v.onLeft(rec, t)
 		}
-	} else {
-		if data, ok := b.Col().Slice().([]Pair[K, B]); ok {
-			v.out.begin()
-			for _, rec := range data {
-				v.onRight(rec, t)
-			}
-			v.out.end(t)
-			return
+	case input != 0 && okR:
+		for _, rec := range right {
+			v.onRight(rec, t)
+		}
+	default:
+		for i, n := 0, b.Len(); i < n; i++ {
+			v.recv(input, b.Record(i), t)
 		}
 	}
-	for i, n := 0, b.Len(); i < n; i++ {
-		v.OnRecv(input, b.Record(i), t)
-	}
+	v.out.end(t)
 }
 
 func (v *joinVertex[K, A, B, R]) OnNotify(t ts.Timestamp) {
 	if v.onNotify != nil {
-		v.out.begin()
 		v.onNotify(t)
 		v.out.end(t)
 	}
 }
 
-// emitter is the emit hook of the batch-at-a-time operators. Between begin
-// and end it collects outputs into one pooled typed batch, which end sends
-// with a single SendBatchBy at the callback's time t. The send happens
-// inside the callback, so the runtime still posts the batch's +count
-// before it retires the input's −count. A callback that collects nothing
-// sends nothing. Outside begin/end — a boxed input — every output goes out
-// through its own SendBy.
+// emitter is the emit hook of the batch-at-a-time operators. It collects a
+// callback's outputs into one pooled typed batch, which end — called as
+// the callback finishes — sends with a single SendBatchBy at the
+// callback's time t. The send happens inside the callback, so the runtime
+// still posts the batch's +count before it retires the input's −count. A
+// callback that collects nothing sends nothing.
 type emitter[R any] struct {
-	ctx        *runtime.Context
-	pool       *batchbuf.Pool[R]
-	collecting bool
-	b          *runtime.Batch
-	col        *batchbuf.Col[R]
+	ctx  *runtime.Context
+	pool *batchbuf.Pool[R]
+	b    *runtime.Batch
+	col  *batchbuf.Col[R]
 }
 
 func newEmitter[R any](ctx *runtime.Context) *emitter[R] {
 	return &emitter[R]{ctx: ctx, pool: batchbuf.PoolFor[R]()}
 }
 
-func (e *emitter[R]) begin() { e.collecting = true }
-
-func (e *emitter[R]) emit(r R, t ts.Timestamp) {
-	if !e.collecting {
-		e.ctx.SendBy(0, r, t)
-		return
-	}
+func (e *emitter[R]) emit(r R) {
 	if e.b == nil {
 		e.b, e.col = e.pool.Get(0)
 	}
@@ -179,42 +170,51 @@ func (e *emitter[R]) emit(r R, t ts.Timestamp) {
 
 // end sends the collected batch. The emitter is reset before the send: a
 // synchronous delivery may re-enter the vertex (a loop closed through the
-// local fast path), and that callback begins a collection of its own.
+// local fast path), and that callback collects its own outputs.
 func (e *emitter[R]) end(t ts.Timestamp) {
 	b := e.b
-	e.collecting, e.b, e.col = false, nil, nil
+	e.b, e.col = nil, nil
 	if b != nil {
 		e.ctx.SendBatchBy(0, b, t)
 	}
 }
 
+// emittingVertex is a unary vertexOf whose recv reports outputs of its
+// input's type through the emit hook out: each delivery, a record or a
+// whole batch, ends by sending them as one batch.
+type emittingVertex[T any] struct {
+	vertexOf[T]
+	out *emitter[T]
+}
+
+func (v *emittingVertex[T]) OnRecv(input int, msg runtime.Message, t ts.Timestamp) {
+	v.vertexOf.OnRecv(input, msg, t)
+	v.out.end(t)
+}
+
+func (v *emittingVertex[T]) OnRecvBatch(input int, b *runtime.Batch, t ts.Timestamp) {
+	v.vertexOf.OnRecvBatch(input, b, t)
+	v.out.end(t)
+}
+
 // AggregateMonotonic keeps the best value per key under `better`, emitting
 // whenever a key's value improves — the BloomL-style monotonic aggregation
 // of §4.2. It never coordinates: inside a loop it may emit several times
-// before settling, in exchange for fast uncoordinated iteration (§2.4). A
-// typed input batch's improvements leave as one batch.
+// before settling, in exchange for fast uncoordinated iteration (§2.4). An
+// input batch's improvements leave as one batch.
 func AggregateMonotonic[K comparable, V any](s *Stream[Pair[K, V]],
 	better func(candidate, incumbent V) bool) *Stream[Pair[K, V]] {
 	c := s.scope.C
 	st := c.AddStage("AggMonotonic", graph.RoleNormal, s.depth, func(ctx *runtime.Context) runtime.Vertex {
 		best := make(map[K]V)
 		out := newEmitter[Pair[K, V]](ctx)
-		recv := func(_ int, rec Pair[K, V], t ts.Timestamp) {
+		recv := func(_ int, rec Pair[K, V], _ ts.Timestamp) {
 			if cur, ok := best[rec.Key]; !ok || better(rec.Val, cur) {
 				best[rec.Key] = rec.Val
-				out.emit(rec, t)
+				out.emit(rec)
 			}
 		}
-		return &batchVertexOf[Pair[K, V]]{
-			vertexOf: vertexOf[Pair[K, V]]{recv: recv},
-			recvBatch: func(input int, data []Pair[K, V], _ *runtime.Batch, t ts.Timestamp) {
-				out.begin()
-				for _, rec := range data {
-					recv(input, rec, t)
-				}
-				out.end(t)
-			},
-		}
+		return &emittingVertex[Pair[K, V]]{vertexOf: vertexOf[Pair[K, V]]{recv: recv}, out: out}
 	})
 	connect(c, s.stage, s.port, st, HashPair[K, V], s.cod)
 	return &Stream[Pair[K, V]]{scope: s.scope, stage: st, port: 0, cod: s.cod, depth: s.depth}

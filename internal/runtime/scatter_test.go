@@ -6,13 +6,15 @@ import (
 	"naiad/internal/batchbuf"
 )
 
-// scatterRec is a record type of this test alone, so its pool starts empty
-// and every sub-batch's capacity is the one scatterBatch asked for.
 type scatterRec struct{ v int }
 
 // TestScatterBatchExactSize checks that routeBatch's scatter builds each
 // destination's sub-batch at exactly its record count, in input order, and
-// leaves destinations without records empty.
+// leaves destinations without records empty. The input batch lives in a
+// pool of the test's own, which NewLike draws the sub-batches from: it
+// starts empty on every run, so each sub-batch's capacity is the one
+// scatterBatch asked for, whatever earlier runs left in the process-wide
+// pools.
 func TestScatterBatchExactSize(t *testing.T) {
 	const n, peers = 1000, 4
 	recs := make([]scatterRec, n)
@@ -24,7 +26,8 @@ func TestScatterBatchExactSize(t *testing.T) {
 		hashes[i] = uint64(dv + peers*i)
 		want[dv] = append(want[dv], i)
 	}
-	b := batchbuf.Of(recs)
+	b, col := batchbuf.NewPool[scatterRec]().Get(n)
+	col.Data = append(col.Data, recs...)
 	subs := make([]*batchbuf.Batch, peers)
 	scatterBatch(b, hashes, subs, make([]int, peers))
 	b.Release()

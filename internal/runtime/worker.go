@@ -902,19 +902,10 @@ func (w *worker) routeBatch(vsSrc *vertexState, ci *connInfo, b *batchbuf.Batch,
 // each destination's records first, so every sub-batch is requested at
 // exactly its record count rather than at the whole input's. hashes is
 // overwritten with destination indexes; counts is scratch of len(subs).
-//
-// The counting pass has nothing to overlap a division with, so a
-// power-of-two destination count takes the modulo as a mask.
 func scatterBatch(b *batchbuf.Batch, hashes []uint64, subs []*batchbuf.Batch, counts []int) {
 	peers := uint64(len(subs))
-	if mask := peers - 1; peers&mask == 0 {
-		for i, h := range hashes {
-			hashes[i] = h & mask
-		}
-	} else {
-		for i, h := range hashes {
-			hashes[i] = h % peers
-		}
+	for i, h := range hashes {
+		hashes[i] = h % peers
 	}
 	clear(counts)
 	for _, dv := range hashes {
