@@ -24,9 +24,13 @@ cover:
 
 # Static analysis: go vet plus the repository's own naiad-vet suite, the
 # static twins of the runtime's dynamic vertex-contract checks (see
-# docs/static-analysis.md). govulncheck is best-effort: it is not part of
-# the toolchain and needs network access for the vuln database.
+# docs/static-analysis.md). The gofmt gate fails on any Go file (outside
+# dot directories such as the benchmark's build cache) that gofmt would
+# change. govulncheck is best-effort: it is not part of the toolchain and
+# needs network access for the vuln database.
 vet:
+	@unformatted=$$(find . -path './.*' -prune -o -name '*.go' -print | xargs gofmt -l); \
+	if [ -n "$$unformatted" ]; then echo "vet: not gofmt-clean:" >&2; echo "$$unformatted" >&2; exit 1; fi
 	$(GO) vet ./...
 	@$(GO) build -o /dev/null ./cmd/naiad-vet || { \
 		echo "vet: naiad-vet failed to build; if imports cannot be resolved, run 'go mod tidy' and retry" >&2; \

@@ -277,4 +277,3 @@ func String() Codec {
 		func(d *Decoder) string { return d.String() },
 	)
 }
-

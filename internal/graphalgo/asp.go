@@ -52,6 +52,8 @@ func distCodec() codec.Codec {
 // (undirected) graph, each (source, node) pair keeping its minimum
 // distance via monotonic aggregation — the incremental, sparse-iteration
 // algorithm the paper credits for ASP's 600× speedup over batch systems.
+// The stream carries each pair's distance improvements, strictly
+// decreasing; the per-pair minimum is the answer.
 func BuildASP(s *lib.Scope, edges *lib.Stream[workload.Edge], sources []int64, maxIters int64) *lib.Stream[lib.Pair[SrcNode, int64]] {
 	both := lib.SelectMany(edges, func(e workload.Edge) []lib.Pair[int64, int64] {
 		if e.Src == e.Dst {
@@ -77,8 +79,7 @@ func BuildASP(s *lib.Scope, edges *lib.Stream[workload.Edge], sources []int64, m
 	}, distCodec())
 
 	edgesIn := lib.EnterLoop(both, 1)
-	props := lib.Iterate(seeds, maxIters, func(inner *lib.Stream[lib.Pair[SrcNode, int64]]) *lib.Stream[lib.Pair[SrcNode, int64]] {
-		best := lib.AggregateMonotonic(inner, func(cand, inc int64) bool { return cand < inc })
+	return minLabels(seeds, maxIters, func(best *lib.Stream[lib.Pair[SrcNode, int64]]) *lib.Stream[lib.Pair[SrcNode, int64]] {
 		// Rekey by node to meet the adjacency, then step to neighbors.
 		byNode := lib.Select(best, func(p lib.Pair[SrcNode, int64]) lib.Pair[int64, lib.Pair[SrcNode, int64]] {
 			return lib.KV(p.Key.Node, p)
@@ -87,8 +88,6 @@ func BuildASP(s *lib.Scope, edges *lib.Stream[workload.Edge], sources []int64, m
 			return lib.Pair[SrcNode, int64]{Key: SrcNode{Src: dist.Key.Src, Node: neighbor}, Val: dist.Val + 1}
 		}, distCodec())
 	})
-	all := lib.Concat(props, seeds)
-	return lib.AggregateMonotonic(all, func(cand, inc int64) bool { return cand < inc })
 }
 
 // ASP runs approximate shortest paths from k sampled sources and returns

@@ -10,23 +10,24 @@ import (
 
 // directedMinLabels propagates each node's minimum "seen" id along edge
 // direction: the result maps every node to the minimum id that can reach
-// it. Reversing the edges gives the minimum id each node can reach.
+// it. Reversing the edges gives the minimum id each node can reach. The
+// stream carries each node's label improvements, strictly decreasing; the
+// per-node minimum is the answer.
 func directedMinLabels(s *lib.Scope, edges *lib.Stream[workload.Edge], maxIters int64) *lib.Stream[lib.Pair[int64, int64]] {
 	keyed := lib.Select(edges, func(e workload.Edge) lib.Pair[int64, int64] {
 		return lib.KV(e.Src, e.Dst)
 	}, PairCodec())
+	// An edge's source reaches its destination, so the destination starts
+	// from the lesser of the two ids and the source from its own.
 	seeds := lib.SelectMany(edges, func(e workload.Edge) []lib.Pair[int64, int64] {
-		return []lib.Pair[int64, int64]{lib.KV(e.Src, e.Src), lib.KV(e.Dst, e.Dst)}
+		return []lib.Pair[int64, int64]{lib.KV(e.Src, e.Src), lib.KV(e.Dst, min(e.Src, e.Dst))}
 	}, PairCodec())
 	edgesIn := lib.EnterLoop(keyed, 1)
-	props := lib.Iterate(seeds, maxIters, func(inner *lib.Stream[lib.Pair[int64, int64]]) *lib.Stream[lib.Pair[int64, int64]] {
-		best := lib.AggregateMonotonic(inner, func(cand, inc int64) bool { return cand < inc })
+	return minLabels(seeds, maxIters, func(best *lib.Stream[lib.Pair[int64, int64]]) *lib.Stream[lib.Pair[int64, int64]] {
 		return lib.Join(best, edgesIn, func(_ int64, label, dst int64) lib.Pair[int64, int64] {
 			return lib.KV(dst, label)
 		}, PairCodec())
 	})
-	all := lib.Concat(props, seeds)
-	return lib.AggregateMonotonic(all, func(cand, inc int64) bool { return cand < inc })
 }
 
 // sccRound computes forward and backward min-labels for the remaining

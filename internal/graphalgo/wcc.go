@@ -33,9 +33,9 @@ func PairCodec() codec.Codec {
 // (undirected) component. The computation is incremental across epochs
 // because min-label is monotone under edge additions — feeding more edges
 // in later epochs emits only label improvements (§6.4's incremental
-// connected components). The returned stream carries label improvements;
-// the final assignment for an epoch is the per-node minimum across all
-// emissions at or before it.
+// connected components). The returned stream carries each node's label
+// improvements, strictly decreasing; the final assignment for an epoch is
+// the per-node minimum across all emissions at or before it.
 func BuildWCC(s *lib.Scope, edges *lib.Stream[workload.Edge], maxIters int64) *lib.Stream[lib.Pair[int64, int64]] {
 	// Undirect the edges and key them by source.
 	both := lib.SelectMany(edges, func(e workload.Edge) []lib.Pair[int64, int64] {
@@ -45,24 +45,39 @@ func BuildWCC(s *lib.Scope, edges *lib.Stream[workload.Edge], maxIters int64) *l
 		return []lib.Pair[int64, int64]{lib.KV(e.Src, e.Dst), lib.KV(e.Dst, e.Src)}
 	}, PairCodec())
 
-	// Every endpoint seeds itself with its own id as label.
+	// Both endpoints of an edge start from the lesser of their ids: a
+	// component member no larger than either's own id, so the first round
+	// of propagation comes with the seeds.
 	seeds := lib.SelectMany(edges, func(e workload.Edge) []lib.Pair[int64, int64] {
-		return []lib.Pair[int64, int64]{lib.KV(e.Src, e.Src), lib.KV(e.Dst, e.Dst)}
+		m := min(e.Src, e.Dst)
+		return []lib.Pair[int64, int64]{lib.KV(e.Src, m), lib.KV(e.Dst, m)}
 	}, PairCodec())
 
 	edgesIn := lib.EnterLoop(both, 1)
-	improvements := lib.Iterate(seeds, maxIters, func(inner *lib.Stream[lib.Pair[int64, int64]]) *lib.Stream[lib.Pair[int64, int64]] {
-		// Keep only label improvements; propose them to neighbors.
-		best := lib.AggregateMonotonic(inner, func(cand, inc int64) bool { return cand < inc })
+	return minLabels(seeds, maxIters, func(best *lib.Stream[lib.Pair[int64, int64]]) *lib.Stream[lib.Pair[int64, int64]] {
+		// Propose each label improvement to the node's neighbors.
 		return lib.Join(best, edgesIn, func(_ int64, label, neighbor int64) lib.Pair[int64, int64] {
 			return lib.KV(neighbor, label)
 		}, PairCodec())
 	})
-	// The loop feeds proposals back; what leaves the loop are the raw
-	// proposals. Reduce them (plus the self-seeds) to per-node minima with
-	// one more monotonic aggregate outside the loop.
-	all := lib.Concat(improvements, seeds)
-	return lib.AggregateMonotonic(all, func(cand, inc int64) bool { return cand < inc })
+}
+
+// minLabels is the min-label loop behind WCC, SCC and ASP: the seeds and
+// the fed-back proposals meet in an AggregateMonotonic, which keeps each
+// key's least value across all times, and step turns its improvements into
+// the next proposals. Only the aggregate's output leaves the loop, so each
+// key's output is strictly decreasing and its last value is the fixed
+// point. The egress is wired before step: each output batch reaches it
+// before step's synchronous cascade can re-enter the aggregate, so the
+// stream leaves in the order the aggregate emitted it.
+func minLabels[K comparable](seeds *lib.Stream[lib.Pair[K, int64]], maxIters int64,
+	step func(best *lib.Stream[lib.Pair[K, int64]]) *lib.Stream[lib.Pair[K, int64]]) *lib.Stream[lib.Pair[K, int64]] {
+	loop := lib.NewLoop(seeds.Scope(), seeds.Depth(), seeds, maxIters)
+	inner := lib.Concat(loop.Enter(seeds), loop.Feedback())
+	best := lib.AggregateMonotonic(inner, func(cand, inc int64) bool { return cand < inc })
+	out := lib.LeaveLoop(best)
+	loop.Return(step(best))
+	return out
 }
 
 // WCC runs weakly connected components to convergence on one edge set and

@@ -66,8 +66,8 @@ func DefaultIngress() IngressOptions {
 // -ingress-server child mode).
 type IngressServerOptions struct {
 	Addr        string
-	Credits     int   // global credit pool; 0 means the roomy steady default
-	SlowEpochMS int   // per-epoch subscriber sleep: the overload run's slow dataflow
+	Credits     int // global credit pool; 0 means the roomy steady default
+	SlowEpochMS int // per-epoch subscriber sleep: the overload run's slow dataflow
 	Seed        int64
 }
 

@@ -74,7 +74,7 @@ func (v *pipeBoxedMap) OnNotify(ts.Timestamp) {}
 type pipeBoxedCount struct{ n int64 }
 
 func (v *pipeBoxedCount) OnRecv(_ int, _ runtime.Message, _ ts.Timestamp) { v.n++ }
-func (v *pipeBoxedCount) OnNotify(ts.Timestamp) {}
+func (v *pipeBoxedCount) OnNotify(ts.Timestamp)                           {}
 
 // runPipeline builds the one-worker map→sink pipeline, pushes opt.Records
 // through it on the chosen path, and returns nanoseconds per record for the

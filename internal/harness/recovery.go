@@ -385,8 +385,8 @@ func ratio(before, after time.Duration) string {
 // after = selective rollback / barrier cut per epoch).
 func Recovery(o RecoveryOptions) (*Report, error) {
 	rep := &Report{
-		ID:    "recovery",
-		Title: "crash recovery: selective rollback vs full restart; checkpoint-window latency",
+		ID:      "recovery",
+		Title:   "crash recovery: selective rollback vs full restart; checkpoint-window latency",
 		Headers: []string{"metric", "before", "after", "before/after"},
 	}
 

@@ -198,3 +198,51 @@ func TestAggregateMonotonicTypedMatchesBoxed(t *testing.T) {
 		}
 	}
 }
+
+// TestAggregateMonotonicPreReduces checks that AggregateMonotonic sends at
+// most one record per key per callback, carrying the batch's best: a key
+// improved twice in one batch overwrites its earlier output. One worker,
+// so each fed batch is a single callback.
+func TestAggregateMonotonicPreReduces(t *testing.T) {
+	const k, j int64 = 1, 2
+	batches := [][]kv{
+		{{Key: k, Val: 5}, {Key: k, Val: 3}, {Key: k, Val: 4}, {Key: j, Val: 9}},
+		{{Key: k, Val: 3}, {Key: j, Val: 8}},
+	}
+	run := func(boxed bool) *shapeRecorder[kv] {
+		s := newTestScope(t, runtime.Config{Processes: 1, WorkersPerProcess: 1})
+		in, src := NewInput[kv](s, "in", nil)
+		best := AggregateMonotonic(src, func(cand, inc int64) bool { return cand < inc })
+		rec, probe := record(best)
+		if err := s.C.Start(); err != nil {
+			t.Fatal(err)
+		}
+		for e, b := range batches {
+			feed(in, boxed, b)
+			in.Advance()
+			probe.WaitFor(int64(e))
+		}
+		in.Close()
+		join(t, s)
+		return rec
+	}
+	typed := run(false)
+	if got := fmt.Sprint(typed.recs); got != fmt.Sprint([]kv{{Key: k, Val: 3}, {Key: j, Val: 9}, {Key: j, Val: 8}}) {
+		t.Fatalf("typed output %s, want [{1 3} {2 9}] then [{2 8}]", got)
+	}
+	if typed.deliveries[0] != 1 || typed.deliveries[1] != 1 {
+		t.Fatalf("typed deliveries per epoch %v, want one each", typed.deliveries)
+	}
+	bests := func(recs []kv) map[int64]int64 {
+		m := make(map[int64]int64)
+		for _, p := range recs {
+			if cur, ok := m[p.Key]; !ok || p.Val < cur {
+				m[p.Key] = p.Val
+			}
+		}
+		return m
+	}
+	if got, want := bests(run(true).recs), bests(typed.recs); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("boxed per-key bests %v, typed %v", got, want)
+	}
+}

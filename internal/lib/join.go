@@ -20,18 +20,21 @@ func Join[K comparable, A, B, R any](a *Stream[Pair[K, A]], b *Stream[Pair[K, B]
 	}
 	c := a.scope.C
 	st := c.AddStage("Join", graph.RoleNormal, a.depth, func(ctx *runtime.Context) runtime.Vertex {
-		left := make(map[K][]A)
-		right := make(map[K][]B)
+		// Both sides of a key share one slot, so a record costs one map
+		// lookup: append to its own side, then match against the other.
+		var keys slots[K, joinSides[A, B]]
 		v := &joinVertex[K, A, B, R]{out: newEmitter[R](ctx)}
 		v.onLeft = func(rec Pair[K, A], t ts.Timestamp) {
-			left[rec.Key] = append(left[rec.Key], rec.Val)
-			for _, bv := range right[rec.Key] {
+			sd, _ := keys.get(rec.Key)
+			sd.left = append(sd.left, rec.Val)
+			for _, bv := range sd.right {
 				v.out.emit(f(rec.Key, rec.Val, bv))
 			}
 		}
 		v.onRight = func(rec Pair[K, B], t ts.Timestamp) {
-			right[rec.Key] = append(right[rec.Key], rec.Val)
-			for _, av := range left[rec.Key] {
+			sd, _ := keys.get(rec.Key)
+			sd.right = append(sd.right, rec.Val)
+			for _, av := range sd.left {
 				v.out.emit(f(rec.Key, av, rec.Val))
 			}
 		}
@@ -40,6 +43,35 @@ func Join[K comparable, A, B, R any](a *Stream[Pair[K, A]], b *Stream[Pair[K, B]
 	connect(c, a.stage, a.port, st, HashPair[K, A], a.cod) // input 0
 	connect(c, b.stage, b.port, st, HashPair[K, B], b.cod) // input 1
 	return &Stream[R]{scope: a.scope, stage: st, port: 0, cod: orGob[R](cod), depth: a.depth}
+}
+
+// joinSides is one key's state in Join: the values seen on each side.
+type joinSides[A, B any] struct {
+	left  []A
+	right []B
+}
+
+// slots maps each key to a slot in a dense slice, so the keyed operators
+// look a record's key up once. The returned pointer is valid until the
+// next get.
+type slots[K comparable, S any] struct {
+	idx  map[K]int
+	vals []S
+}
+
+// get returns k's slot, appending a zero slot if k is new.
+func (x *slots[K, S]) get(k K) (s *S, fresh bool) {
+	i, ok := x.idx[k]
+	if !ok {
+		if x.idx == nil {
+			x.idx = make(map[K]int)
+		}
+		i = len(x.vals)
+		x.idx[k] = i
+		var zero S
+		x.vals = append(x.vals, zero)
+	}
+	return &x.vals[i], !ok
 }
 
 // JoinByTime is the synchronous relational join: both inputs are buffered
@@ -168,6 +200,15 @@ func (e *emitter[R]) emit(r R) {
 	e.col.Data = append(e.col.Data, r)
 }
 
+// pending returns the outputs collected so far in this callback; an
+// operator may overwrite them in place before end sends them.
+func (e *emitter[R]) pending() []R {
+	if e.col == nil {
+		return nil
+	}
+	return e.col.Data
+}
+
 // end sends the collected batch. The emitter is reset before the send: a
 // synchronous delivery may re-enter the vertex (a loop closed through the
 // local fast path), and that callback collects its own outputs.
@@ -201,21 +242,41 @@ func (v *emittingVertex[T]) OnRecvBatch(input int, b *runtime.Batch, t ts.Timest
 // whenever a key's value improves — the BloomL-style monotonic aggregation
 // of §4.2. It never coordinates: inside a loop it may emit several times
 // before settling, in exchange for fast uncoordinated iteration (§2.4). An
-// input batch's improvements leave as one batch.
+// input batch's improvements leave as one batch, with at most one record
+// per key: a key improved twice in one callback overwrites its earlier
+// output, so the batch carries each key's best.
 func AggregateMonotonic[K comparable, V any](s *Stream[Pair[K, V]],
 	better func(candidate, incumbent V) bool) *Stream[Pair[K, V]] {
 	c := s.scope.C
 	st := c.AddStage("AggMonotonic", graph.RoleNormal, s.depth, func(ctx *runtime.Context) runtime.Vertex {
-		best := make(map[K]V)
+		var keys slots[K, aggSlot[V]]
 		out := newEmitter[Pair[K, V]](ctx)
 		recv := func(_ int, rec Pair[K, V], _ ts.Timestamp) {
-			if cur, ok := best[rec.Key]; !ok || better(rec.Val, cur) {
-				best[rec.Key] = rec.Val
-				out.emit(rec)
+			sl, fresh := keys.get(rec.Key)
+			if !fresh && !better(rec.Val, sl.best) {
+				return
 			}
+			sl.best = rec.Val
+			// The key is in this callback's batch only if the batch holds
+			// it at the position noted when it was put there: a batch
+			// holds each key at most once.
+			d := out.pending()
+			if sl.pos < len(d) && d[sl.pos].Key == rec.Key {
+				d[sl.pos] = rec
+				return
+			}
+			sl.pos = len(d)
+			out.emit(rec)
 		}
 		return &emittingVertex[Pair[K, V]]{vertexOf: vertexOf[Pair[K, V]]{recv: recv}, out: out}
 	})
 	connect(c, s.stage, s.port, st, HashPair[K, V], s.cod)
 	return &Stream[Pair[K, V]]{scope: s.scope, stage: st, port: 0, cod: s.cod, depth: s.depth}
+}
+
+// aggSlot is one key's state in AggregateMonotonic: its best value, and the
+// position of its last output record in the batch it was emitted into.
+type aggSlot[V any] struct {
+	best V
+	pos  int
 }

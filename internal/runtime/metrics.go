@@ -33,7 +33,7 @@ type MetricsSnapshot struct {
 	// something to say; it must never be silently zero-by-omission.
 	DroppedFrames int64
 	LoggedBatches int64
-	Recovery       RecoverySnapshot // zero unless RecoveryMetrics are attached
+	Recovery      RecoverySnapshot // zero unless RecoveryMetrics are attached
 }
 
 // RecoveryMetrics aggregates fault-tolerance counters. The supervisor

@@ -221,18 +221,18 @@ func New(cfg Config) (*Supervisor, error) {
 	}
 	cfg = cfg.withDefaults()
 	s := &Supervisor{
-		cfg:      cfg,
-		rm:       &runtime.RecoveryMetrics{},
-		cmdCh:    make(chan command, 64),
-		joinCh:   make(chan error, 1),
-		evCh:     make(chan supEvent, 16),
-		doneCh:   make(chan struct{}),
+		cfg:           cfg,
+		rm:            &runtime.RecoveryMetrics{},
+		cmdCh:         make(chan command, 64),
+		joinCh:        make(chan error, 1),
+		evCh:          make(chan supEvent, 16),
+		doneCh:        make(chan struct{}),
 		inputs:        make(map[string]bool),
 		log:           make(map[string]map[int64][]runtime.Message),
 		fed:           make(map[string]int64),
 		closedIn:      make(map[string]bool),
 		closeDeferred: make(map[string]bool),
-		rng:      rand.New(rand.NewSource(cfg.Seed)),
+		rng:           rand.New(rand.NewSource(cfg.Seed)),
 	}
 	build, err := s.spawn()
 	if err != nil {
